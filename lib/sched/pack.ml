@@ -1,175 +1,127 @@
 open Lams_util
 open Lams_dist
-open Lams_core
-open Lams_codegen
 
 type block = { buf_pos : int; start_local : int; length : int; step : int }
 type side = { blocks : block list; elements : int }
 
-(* One arithmetic progression of traversal positions maps to the global
-   indices g(t) = sec.lo + (first + t*period)*sec.stride — itself an
-   arithmetic sequence with stride period*|sec.stride|, every element
-   owned by [proc] (Comm_sets guarantees it). That is exactly a
-   (p, k, l, s) access-sequence sub-problem, so the contiguous
-   local-address blocks fall out of the AM-table machinery: build the
-   plan for the sub-section and merge its traversal into runs.
-
-   The sub-problems' (l, s) vary per transfer, so routing them through
-   the process {!Lams_core.Plan_cache} would thrash it (and evict the
-   whole-array entries the fill path lives on); schedules are cached one
-   level up ({!Cache}), so the uncached per-processor build is the right
-   cost here. *)
-let blocks_of_progression ~layout ~section ~proc ~buf_pos
-    (run : Lams_sim.Comm_sets.progression) =
-  let nth t =
-    Section.nth section
-      (run.Lams_sim.Comm_sets.first + (t * run.Lams_sim.Comm_sets.period))
-  in
-  let count = run.Lams_sim.Comm_sets.count in
-  let g0 = nth 0 in
-  if count = 1 then
-    [ { buf_pos; start_local = Layout.local_address layout g0; length = 1;
-        step = 1 } ]
-  else begin
-    let gl = nth (count - 1) in
-    (* The pack buffer is filled in traversal order; a negative section
-       stride makes the globals descend, so the plan (which always walks
-       ascending) is built on the reversed sequence and its runs are
-       emitted as step = -1 blocks at mirrored buffer positions. *)
-    let ascending = gl > g0 in
-    let lo = if ascending then g0 else gl in
-    let hi = if ascending then gl else g0 in
-    let stride = (hi - lo) / (count - 1) in
-    let pr =
-      Problem.make ~p:layout.Layout.p ~k:layout.Layout.k ~l:lo ~s:stride
-    in
-    match Plan.build_uncached pr ~m:proc ~u:hi with
-    | None -> invalid_arg "Pack: progression not owned by its processor"
-    | Some plan ->
-        let visited = ref 0 in
-        let blocks =
-          Runs.fold_runs plan ~init:[]
-            ~f:(fun acc { Runs.start_local; length } ->
-              let b =
-                if ascending then
-                  { buf_pos = buf_pos + !visited; start_local; length;
-                    step = 1 }
-                else
-                  { buf_pos = buf_pos + count - !visited - length;
-                    start_local = start_local + length - 1;
-                    length;
-                    step = -1 }
-              in
-              visited := !visited + length;
-              b :: acc)
-        in
-        if !visited <> count then
-          invalid_arg "Pack: progression escapes its processor";
-        blocks
-  end
-
-(* {!Lams_sim.Comm_sets} describes a transfer as residue classes of
-   traversal positions modulo the lcm of the two cycle periods. Packing
-   one class at a time walks the data class-major — consecutive buffer
-   cells sit one whole period apart in memory, so every block collapses
-   to a single element and the blit data plane never gets a run to
-   move. The buffer layout is private to the schedule (both sides are
-   lowered from the same runs list), which leaves us free to
-   re-enumerate the same position set differently: consecutive residues
-   fuse into intervals, and one interval at one period offset is a
-   contiguous traversal segment — exactly an (l:h:s) sub-problem whose
-   access sequence the AM table lowers to runs with real lengths.
-
-   Classes arrive sorted by [first] and share one period; counts along
-   a fused interval are non-increasing (count = 1 + (total-1-first)/P),
-   so the residues still alive at period offset [t] are a prefix of the
-   interval — the guard below splits the interval wherever either
-   assumption fails, which only costs block length, never correctness.
-   Returns [None] (caller falls back to class-major packing) when the
-   classes disagree on the period. *)
-let traversal_segments (runs : Lams_sim.Comm_sets.progression list) =
-  match runs with
-  | [] -> Some []
-  | { Lams_sim.Comm_sets.period; _ } :: _
-    when List.exists
-           (fun r -> r.Lams_sim.Comm_sets.period <> period)
-           runs ->
-      None
-  | { Lams_sim.Comm_sets.period; _ } :: _ when period = 1 ->
-      (* A period-1 class is already one contiguous segment. *)
-      Some
-        (List.map
-           (fun r ->
-             (r.Lams_sim.Comm_sets.first, r.Lams_sim.Comm_sets.count))
-           runs)
-  | { Lams_sim.Comm_sets.period; _ } :: _ ->
-      let arr = Array.of_list runs in
-      let n = Array.length arr in
-      let first i = arr.(i).Lams_sim.Comm_sets.first in
-      let count i = arr.(i).Lams_sim.Comm_sets.count in
-      let segs = ref [] in
-      let i = ref 0 in
-      while !i < n do
-        let j = ref (!i + 1) in
-        while
-          !j < n
-          && first !j = first (!j - 1) + 1
-          && count !j <= count (!j - 1)
-        do
-          incr j
-        done;
-        let base = first !i and width = !j - !i in
-        let t = ref 0 and len = ref width in
-        while !len > 0 do
-          while !len > 0 && count (!i + !len - 1) <= !t do
-            decr len
-          done;
-          if !len > 0 then segs := (base + (!t * period), !len) :: !segs;
-          incr t
-        done;
-        i := !j
-      done;
-      (* Traversal order: segments of different intervals interleave
-         across periods, so sort by position, then fuse any that turn
-         out adjacent (intervals as wide as the period tile the
-         traversal seamlessly). *)
-      let sorted =
-        List.sort (fun (a, _) (b, _) -> compare a b) !segs
-      in
-      Some
-        (List.fold_left
-           (fun acc (j0, len) ->
-             match acc with
-             | (pj, pl) :: rest when pj + pl = j0 -> (pj, pl + len) :: rest
-             | _ -> (j0, len) :: acc)
-           [] sorted
-        |> List.rev)
-
 let build_side ~layout ~section ~proc runs =
-  let progressions =
-    match traversal_segments runs with
-    | Some segs ->
-        List.map
-          (fun (j0, len) ->
-            { Lams_sim.Comm_sets.first = j0; period = 1; count = len })
-          segs
-    | None -> runs
+  let classes = Array.of_list runs in
+  let n = Array.length classes in
+  let first i = classes.(i).Lams_sim.Comm_sets.first
+  and count i = classes.(i).Lams_sim.Comm_sets.count in
+  let period = if n = 0 then 1 else classes.(0).Lams_sim.Comm_sets.period in
+  (* Maximal intervals [lo, hi) of classes with consecutive [first]s.
+     {!Lams_sim.Comm_sets} gives every class the count
+     [1 + (total-1-first)/period], non-increasing in [first], so the
+     classes of an interval still alive at period offset [t]
+     (count > t) are a prefix of it: one contiguous traversal
+     segment. *)
+  let intervals = ref [] and stop = ref n and total = Section.count section in
+  for i = n - 1 downto 0 do
+    if
+      classes.(i).Lams_sim.Comm_sets.period <> period
+      || first i >= period
+      || (i > 0 && (first i <= first (i - 1) || count i > count (i - 1)))
+    then
+      invalid_arg
+        "Pack.build_side: progressions must share one period, with \
+         strictly ascending first < period and non-increasing counts";
+    if first i < 0 || first i + ((count i - 1) * period) >= total then
+      invalid_arg "Pack.build_side: position outside the section";
+    if i = 0 || first i <> first (i - 1) + 1 then begin
+      intervals := (i, !stop) :: !intervals;
+      stop := i
+    end
+  done;
+  let k = layout.Layout.k and stride = section.Section.stride in
+  let out = ref [] in
+  let cur_bp = ref 0 and cur_sl = ref 0 and cur_len = ref 0
+  and cur_step = ref 1 in
+  let flush () =
+    if !cur_len > 0 then
+      out :=
+        { buf_pos = !cur_bp; start_local = !cur_sl; length = !cur_len;
+          step = !cur_step }
+        :: !out
   in
-  let buf_pos = ref 0 in
-  let blocks =
-    List.concat_map
-      (fun (run : Lams_sim.Comm_sets.progression) ->
-        let bs =
-          blocks_of_progression ~layout ~section ~proc ~buf_pos:!buf_pos run
-        in
-        buf_pos := !buf_pos + run.Lams_sim.Comm_sets.count;
-        bs)
-      progressions
+  (* The coalescer. Blocks arrive in buffer order, each starting where
+     the last ended, so a block extends the pending one when it also
+     continues it in local space under a common step [sigma]; a
+     single-element block fits either step. *)
+  let emit buf_pos start_local length step =
+    let sigma =
+      if !cur_len > 1 then !cur_step
+      else if length > 1 then step
+      else start_local - !cur_sl
+    in
+    if
+      !cur_len > 0
+      && (sigma = 1 || sigma = -1)
+      && (length = 1 || step = sigma)
+      && start_local = !cur_sl + (sigma * !cur_len)
+    then begin
+      cur_len := !cur_len + length;
+      cur_step := sigma
+    end
+    else begin
+      flush ();
+      cur_bp := buf_pos;
+      cur_sl := start_local;
+      cur_len := length;
+      cur_step := step
+    end
   in
-  let blocks =
-    List.sort (fun a b -> compare a.buf_pos b.buf_pos) blocks
+  (* Lower traversal segment [j0, j0 + len) at buffer position
+     [buf_pos]. A unit-stride step covers a whole owner-block piece,
+     which ends k - g mod k elements on ascending, g mod k + 1
+     descending, and shares the owner of its first element. *)
+  let pk = layout.Layout.p * k in
+  let segment buf_pos j0 len =
+    let g = ref (section.Section.lo + (j0 * stride)) and i = ref 0 in
+    while !i < len do
+      let row = !g / pk in
+      let off = !g - (row * pk) in
+      if !g < 0 || off / k <> proc then
+        invalid_arg "Pack.build_side: position not owned by its processor";
+      let boff = off - (proc * k) in
+      let run =
+        if stride = 1 then min (len - !i) (k - boff)
+        else if stride = -1 then min (len - !i) (boff + 1)
+        else 1
+      in
+      emit (buf_pos + !i) ((row * k) + boff) run
+        (if run > 1 then stride else 1);
+      g := !g + (stride * run);
+      i := !i + run
+    done
   in
-  { blocks; elements = !buf_pos }
+  (* Traversal order is (period offset, first): walk offsets t = 0, 1,
+     … and, at each, every live interval's alive prefix in [first]
+     order. Intervals are dropped as they die, so the walk costs one
+     step per segment. *)
+  let lo = Array.of_list (List.map fst !intervals)
+  and hi = Array.of_list (List.map snd !intervals) in
+  let live = ref (Array.length lo) and buf_pos = ref 0 and t = ref 0 in
+  while !live > 0 do
+    let kept = ref 0 in
+    for a = 0 to !live - 1 do
+      let l = lo.(a) and h = ref hi.(a) in
+      while !h > l && count (!h - 1) <= !t do
+        decr h
+      done;
+      if !h > l then begin
+        segment !buf_pos (first l + (!t * period)) (!h - l);
+        buf_pos := !buf_pos + !h - l;
+        lo.(!kept) <- l;
+        hi.(!kept) <- !h;
+        incr kept
+      end
+    done;
+    live := !kept;
+    incr t
+  done;
+  flush ();
+  { blocks = List.rev !out; elements = !buf_pos }
 
 (* Both strides are single blits: step = 1 is a straight memmove; a
    step = -1 block covers local addresses [start_local - length + 1,
@@ -301,6 +253,23 @@ let split side ~at =
     { blocks = List.rev !right; elements = side.elements - at } )
 
 let block_count side = List.length side.blocks
+
+let check_side side =
+  let fail fmt = Format.kasprintf (fun msg -> Error msg) fmt in
+  let rec go next = function
+    | [] ->
+        if next = side.elements then Ok ()
+        else fail "blocks cover [0, %d) of [0, %d)" next side.elements
+    | { buf_pos; length; step; _ } :: rest ->
+        if length <= 0 then fail "block at %d has length %d" buf_pos length
+        else if step <> 1 && step <> -1 then
+          fail "block at %d has step %d" buf_pos step
+        else if buf_pos <> next then
+          fail "block at %d does not start where its predecessor ends (%d)"
+            buf_pos next
+        else go (buf_pos + length) rest
+  in
+  go 0 side.blocks
 
 let local_addresses side =
   let out = Array.make side.elements (-1) in

@@ -4,10 +4,9 @@
     A transfer's element set is a union of arithmetic progressions of
     traversal positions ({!Lams_sim.Comm_sets}); on each side those
     positions land on one processor's local memory as a short list of
-    {e contiguous blocks} — the same run structure the node-code
-    generator exploits ({!Lams_codegen.Runs}). Marshalling is therefore
-    a handful of [Array.blit]s over gap runs instead of one address
-    computation per element. *)
+    {e contiguous blocks}, read off the closed-form [cyclic(k)] local
+    address. Marshalling is therefore a handful of blits over those
+    blocks instead of one address computation per element. *)
 
 type block = {
   buf_pos : int;  (** first position in the packed buffer *)
@@ -31,16 +30,28 @@ val build_side :
   side
 (** Lower one side of a transfer (its owner [proc]'s view) to blocks.
     The packed buffer holds the transfer's elements in {e traversal
-    order} (ascending position). The comm-set residue classes are first
-    re-enumerated as maximal contiguous traversal segments —
-    class-major packing would put consecutive buffer cells one whole
-    period apart in memory and collapse every block to a single
-    element — and each segment is lowered through the AM-table run
-    machinery into blocks with real lengths. Both sides of a transfer
-    are built from the same runs list, so they agree on the buffer
-    permutation by construction.
-    @raise Invalid_argument if some position is not owned by [proc]
-    (a schedule/ownership inconsistency). *)
+    order}; both sides of a transfer are built from the same
+    progressions, so they agree on the buffer order by construction.
+
+    The progressions share the joint period [P] with [first < P], so
+    traversal order is (period offset, [first]): at each offset the
+    live classes with consecutive [first]s form one contiguous
+    segment, emitted in buffer order with no sort. Globals map through
+    the closed form [local = (g / pk)·k + g mod k], with no plan or
+    access-sequence table: a unit-stride segment takes one step per
+    owner-block piece, any other stride one step per element. Cost:
+    O(classes + segments + blocks) for unit strides,
+    O(classes + elements) otherwise.
+
+    One coalescer merges each block into its predecessor when the two
+    are adjacent in both buffer and local space with a common step (a
+    single-element block fits either), across segment boundaries, so
+    no two consecutive blocks of the result could be merged.
+    @raise Invalid_argument if the progressions do not share one
+    period with strictly ascending [first < period] and non-increasing
+    [count]s (the {!Lams_sim.Comm_sets.build} invariant), if a
+    position falls outside [section], or if some element is not owned
+    by [proc] (a schedule/ownership inconsistency). *)
 
 val pack : side -> data:Lams_util.Fbuf.t -> buf:Lams_util.Fbuf.t -> unit
 (** Gather the side's elements from local memory into the packed
@@ -82,6 +93,13 @@ val split : side -> at:int -> side * side
     @raise Invalid_argument if [at] is outside [(0, elements)]. *)
 
 val block_count : side -> int
+
+val check_side : side -> (unit, string) result
+(** Structural check of a side: every block has positive length and
+    [step] [1] or [-1], and the blocks, in list order, start at buffer
+    position [0], each where its predecessor ends, and end at
+    [elements] (sorted by [buf_pos], partitioning [\[0, elements)]).
+    {!Schedule.validate} runs it on both sides of every transfer. *)
 
 val local_addresses : side -> int array
 (** Local address of each buffer position (test/debug helper). *)

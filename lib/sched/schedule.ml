@@ -383,7 +383,14 @@ let validate t =
         else if tr.dst_side.Pack.elements <> tr.elements then
           fail "transfer %d->%d: dst side has %d of %d elements" tr.src_proc
             tr.dst_proc tr.dst_side.Pack.elements tr.elements
-        else Ok ()
+        else begin
+          match (Pack.check_side tr.src_side, Pack.check_side tr.dst_side) with
+          | Error msg, _ ->
+              fail "transfer %d->%d: src side: %s" tr.src_proc tr.dst_proc msg
+          | _, Error msg ->
+              fail "transfer %d->%d: dst side: %s" tr.src_proc tr.dst_proc msg
+          | Ok (), Ok () -> Ok ()
+        end
   in
   let rec rounds_ok i = function
     | [] -> Ok ()

@@ -49,10 +49,14 @@ let test_pp_golden () =
   let sched =
     Schedule.build ~src_layout ~src_section:sec ~dst_layout ~dst_section:sec
   in
+  (* Each destination side is one block: 0->1 lands on locals {1,2,3}
+     of processor 1 and 1->0 on {2,3,4} of processor 0, two traversal
+     segments each that the coalescer joins because they are adjacent
+     in both buffer and local space. *)
   Alcotest.(check string)
     "deterministic rendering"
     "12 elements (6 local in 2 pairs), 1 rounds, max degree 1\n\
-    \  round 0: 0->1 (3 el, 2+2 blk) 1->0 (3 el, 2+2 blk)\n"
+    \  round 0: 0->1 (3 el, 2+1 blk) 1->0 (3 el, 2+1 blk)\n"
     (Format.asprintf "%a" Schedule.pp sched)
 
 (* Both section strides (descending → step = -1 blocks, ascending →
@@ -141,6 +145,140 @@ let sections_of (_, _, _, _, lo, count, stride, reversed) =
     else src_section
   in
   (src_section, dst_section, hi + 1)
+
+(* Two consecutive blocks the coalescer should have merged: adjacent
+   in buffer and local space under a common step, where a
+   single-element block fits either step. *)
+let mergeable (a : Pack.block) (b : Pack.block) =
+  let sigma =
+    if a.Pack.length > 1 then a.Pack.step
+    else if b.Pack.length > 1 then b.Pack.step
+    else b.Pack.start_local - a.Pack.start_local
+  in
+  b.Pack.buf_pos = a.Pack.buf_pos + a.Pack.length
+  && (sigma = 1 || sigma = -1)
+  && (b.Pack.length = 1 || b.Pack.step = sigma)
+  && b.Pack.start_local = a.Pack.start_local + (sigma * a.Pack.length)
+
+let rec maximal = function
+  | a :: (b :: _ as rest) -> (not (mergeable a b)) && maximal rest
+  | _ -> true
+
+(* gen_redistribution, with a quarter of the cases forced onto each of
+   the p = 1, k = 1 and p_src <> p_dst corners. *)
+let gen_lowering =
+  QCheck2.Gen.(
+    let* (sp, sk, dp, dk, lo, count, stride, rev) = gen_redistribution in
+    let+ corner = int_range 0 3 in
+    match corner with
+    | 0 -> (sp, sk, dp, dk, lo, count, stride, rev)
+    | 1 -> (1, sk, 1, dk, lo, count, stride, rev)
+    | 2 -> (sp, 1, dp, 1, lo, count, stride, rev)
+    | _ -> (sp, sk, (if dp = sp then (sp mod 8) + 1 else dp), dk, lo, count,
+            stride, rev))
+
+let prop_lowering_equals_oracle =
+  Tutil.qtest "closed-form lowering = per-segment plan oracle" gen_lowering
+    ~print:print_redistribution
+    (fun ((sp, sk, dp, dk, _, _, _, _) as case) ->
+      let src_section, dst_section, _ = sections_of case in
+      let src_layout = Layout.create ~p:sp ~k:sk
+      and dst_layout = Layout.create ~p:dp ~k:dk in
+      let cs =
+        Comm_sets.build ~src_layout ~src_section ~dst_layout ~dst_section
+      in
+      let check ~what ~layout ~section ~proc runs =
+        let side = Pack.build_side ~layout ~section ~proc runs in
+        let oracle = Pack_oracle.build_side ~layout ~section ~proc runs in
+        let fail fmt =
+          Printf.ksprintf
+            (fun m -> QCheck2.Test.fail_reportf "%s side on %d: %s" what proc m)
+            fmt
+        in
+        (match Pack.check_side side with
+        | Ok () -> ()
+        | Error msg -> fail "malformed: %s" msg);
+        if side.Pack.elements <> oracle.Pack.elements then
+          fail "%d elements, oracle %d" side.Pack.elements
+            oracle.Pack.elements;
+        if Pack.local_addresses side <> Pack.local_addresses oracle then
+          fail "element -> local map differs from the oracle";
+        if Pack.block_count side > Pack.block_count oracle then
+          fail "%d blocks, oracle %d" (Pack.block_count side)
+            (Pack.block_count oracle);
+        if not (maximal side.Pack.blocks) then fail "blocks not maximal"
+      in
+      List.iter
+        (fun (tr : Comm_sets.transfer) ->
+          check ~what:"src" ~layout:src_layout ~section:src_section
+            ~proc:tr.Comm_sets.src_proc tr.Comm_sets.runs;
+          check ~what:"dst" ~layout:dst_layout ~section:dst_section
+            ~proc:tr.Comm_sets.dst_proc tr.Comm_sets.runs)
+        cs.Comm_sets.transfers;
+      true)
+
+let test_check_side_rejects_overlap () =
+  let side =
+    { Pack.blocks =
+        [ { Pack.buf_pos = 0; start_local = 0; length = 3; step = 1 };
+          { Pack.buf_pos = 2; start_local = 7; length = 2; step = 1 } ];
+      elements = 4 }
+  in
+  (match Pack.check_side side with
+  | Error msg ->
+      Alcotest.(check string)
+        "names the overlap"
+        "block at 2 does not start where its predecessor ends (3)" msg
+  | Ok () -> Alcotest.fail "check_side accepted overlapping blocks");
+  (* Schedule.validate must reject the same side inside a schedule. *)
+  let lay = Layout.create ~p:2 ~k:2 in
+  let sec = Section.make ~lo:0 ~hi:7 ~stride:1 in
+  let sched =
+    Schedule.build ~src_layout:lay ~src_section:sec ~dst_layout:lay
+      ~dst_section:sec
+  in
+  match sched.Schedule.locals with
+  | tr :: rest ->
+      let bad =
+        { tr with
+          Schedule.src_side =
+            { side with Pack.elements = tr.Schedule.elements } }
+      in
+      Tutil.check_bool "validate rejects the malformed side" true
+        (Result.is_error
+           (Schedule.validate
+              { sched with Schedule.locals = bad :: rest }))
+  | [] -> Alcotest.fail "expected local transfers"
+
+let test_build_side_rejects_bad_input () =
+  let layout = Layout.create ~p:2 ~k:2 in
+  let section = Section.whole ~n:16 in
+  Alcotest.check_raises "mixed periods"
+    (Invalid_argument
+       "Pack.build_side: progressions must share one period, with \
+        strictly ascending first < period and non-increasing counts")
+    (fun () ->
+      ignore
+        (Pack.build_side ~layout ~section ~proc:0
+           [ { Comm_sets.first = 0; period = 4; count = 4 };
+             { Comm_sets.first = 1; period = 8; count = 2 } ]
+          : Pack.side));
+  Alcotest.check_raises "outside the section"
+    (Invalid_argument "Pack.build_side: position outside the section")
+    (fun () ->
+      ignore
+        (Pack.build_side ~layout ~section ~proc:0
+           [ { Comm_sets.first = 0; period = 4; count = 5 } ]
+          : Pack.side));
+  (* Positions 2, 6, 10, 14 sit on processor 1 (offset 2 of a row of
+     4), so lowering them for processor 0 is an ownership error. *)
+  Alcotest.check_raises "not owned"
+    (Invalid_argument "Pack.build_side: position not owned by its processor")
+    (fun () ->
+      ignore
+        (Pack.build_side ~layout ~section ~proc:0
+           [ { Comm_sets.first = 2; period = 4; count = 4 } ]
+          : Pack.side))
 
 let prop_executor_equals_legacy =
   Tutil.qtest "scheduled redistribution = legacy copy" gen_redistribution
@@ -341,6 +479,12 @@ let suite =
       test_pack_roundtrip_negative_stride;
     Alcotest.test_case "pack roundtrip, positive stride" `Quick
       test_pack_roundtrip_positive_stride;
+    prop_lowering_equals_oracle;
+    Alcotest.test_case "check_side rejects overlapping blocks" `Quick
+      test_check_side_rejects_overlap;
+    Alcotest.test_case "build_side rejects mixed periods, bad positions"
+      `Quick
+      test_build_side_rejects_bad_input;
     prop_executor_equals_legacy;
     prop_rounds_contention_free;
     Alcotest.test_case "parallel executor = sequential" `Quick
