@@ -479,12 +479,6 @@ let suite =
       test_pack_roundtrip_negative_stride;
     Alcotest.test_case "pack roundtrip, positive stride" `Quick
       test_pack_roundtrip_positive_stride;
-    prop_lowering_equals_oracle;
-    Alcotest.test_case "check_side rejects overlapping blocks" `Quick
-      test_check_side_rejects_overlap;
-    Alcotest.test_case "build_side rejects mixed periods, bad positions"
-      `Quick
-      test_build_side_rejects_bad_input;
     prop_executor_equals_legacy;
     prop_rounds_contention_free;
     Alcotest.test_case "parallel executor = sequential" `Quick
@@ -498,4 +492,10 @@ let suite =
     Alcotest.test_case "cache hit on translated sections" `Quick
       test_cache_hit_on_translation;
     Alcotest.test_case "cache eviction accounting" `Quick
-      test_cache_eviction ]
+      test_cache_eviction;
+    prop_lowering_equals_oracle;
+    Alcotest.test_case "check_side rejects overlapping blocks" `Quick
+      test_check_side_rejects_overlap;
+    Alcotest.test_case "build_side rejects mixed periods, bad positions"
+      `Quick
+      test_build_side_rejects_bad_input ]
