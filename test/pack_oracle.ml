@@ -4,7 +4,8 @@
    and each segment is lowered as its own (p, k, l, s) access-sequence
    problem: one uncached plan build, then its runs merged into blocks.
    Compare element -> (buffer, local) maps against it, not block lists:
-   it coalesces only within a segment. *)
+   it coalesces only within a segment. The [float array] marshalling
+   oracles for pack/unpack live here too. *)
 
 open Lams_dist
 open Lams_core
@@ -113,6 +114,16 @@ let build_side ~layout ~section ~proc runs =
         bs)
       (traversal_segments runs)
   in
-  { Pack.blocks =
-      List.sort (fun a b -> compare a.Pack.buf_pos b.Pack.buf_pos) blocks;
-    elements = !buf_pos }
+  Pack.tiled
+    (Array.of_list
+       (List.sort (fun a b -> compare a.Pack.buf_pos b.Pack.buf_pos) blocks))
+    ~width:!buf_pos ~paving:0 ~elements:!buf_pos
+
+(* Element-at-a-time [float array] marshalling through the side's
+   element -> local map: the data-plane oracle for {!Pack.pack} and
+   {!Pack.unpack}. Out-of-range addresses raise [Invalid_argument]. *)
+let pack_floats side ~data ~buf =
+  Array.iteri (fun i a -> buf.(i) <- data.(a)) (Pack.local_addresses side)
+
+let unpack_floats side ~buf ~data =
+  Array.iteri (fun i a -> data.(a) <- buf.(i)) (Pack.local_addresses side)

@@ -41,23 +41,41 @@ let first_wide sched =
 (* --- Pack.split --- *)
 
 let test_pack_split_partitions () =
-  let tr = first_wide (demo_schedule ~stride:3 ~lo:5 ()) in
-  let side = tr.Schedule.src_side in
-  let all = Pack.local_addresses side in
-  for at = 1 to side.Pack.elements - 1 do
-    let left, right = Pack.split side ~at in
-    Tutil.check_int "left elements" at left.Pack.elements;
-    Tutil.check_int "right elements" (side.Pack.elements - at)
-      right.Pack.elements;
-    Tutil.check_int_array "left ++ right = original walk" all
-      (Array.append
-         (Pack.local_addresses left)
-         (Pack.local_addresses right));
-    (* The right side is rebased: its buffer positions restart at 0. *)
-    match right.Pack.blocks with
-    | { Pack.buf_pos = 0; _ } :: _ -> ()
-    | _ -> Alcotest.fail "right side not rebased to buffer position 0"
-  done
+  (* A strided side, and a paved one: cyclic(3) -> cyclic(5) at p = 2
+     repeats a 30-position joint period four times, and the source side
+     of its first transfer paves a 7-cell tile of 3 blocks, so cuts fall
+     inside tiles, inside blocks and on tile seams. *)
+  let strided =
+    (first_wide (demo_schedule ~stride:3 ~lo:5 ())).Schedule.src_side
+  and paved =
+    (first_wide (demo_schedule ~p:2 ~src_k:3 ~dst_k:5 ~count:120 ()))
+      .Schedule.src_side
+  in
+  Tutil.check_bool "paved side: several tiles of several blocks" true
+    (Array.length paved.Pack.tile > 1
+    && paved.Pack.elements > 2 * paved.Pack.width);
+  List.iter
+    (fun side ->
+      let all = Pack.local_addresses side in
+      for at = 1 to side.Pack.elements - 1 do
+        let left, right = Pack.split side ~at in
+        Tutil.check_int "left elements" at left.Pack.elements;
+        Tutil.check_int "right elements" (side.Pack.elements - at)
+          right.Pack.elements;
+        Tutil.check_int_array "left ++ right = original walk" all
+          (Array.append
+             (Pack.local_addresses left)
+             (Pack.local_addresses right));
+        Tutil.check_bool "both pieces well-formed" true
+          (Pack.check_side left = Ok () && Pack.check_side right = Ok ());
+        (* The right side is rebased: its buffer positions restart at 0. *)
+        match right.Pack.tile with
+        | [||] -> Alcotest.fail "right side has no blocks"
+        | tile ->
+            Tutil.check_int "right side rebased to buffer position 0" 0
+              tile.(0).Pack.buf_pos
+      done)
+    [ strided; paved ]
 
 let test_pack_split_bounds () =
   let tr = first_wide (demo_schedule ()) in

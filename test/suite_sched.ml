@@ -60,9 +60,9 @@ let test_pp_golden () =
     (Format.asprintf "%a" Schedule.pp sched)
 
 (* Both section strides (descending → step = -1 blocks, ascending →
-   step = 1), each across all three marshalling paths: the blit/rev-blit
-   Fbuf path, its element-at-a-time twin, and the legacy [float array]
-   oracle with the hoisted-bounds reversed loop. All must agree with the
+   step = 1), each across all three marshalling paths: the tiled
+   kernel, its element-at-a-time twin, and the [float array] oracle
+   that marshals through the element -> local map. All must agree with the
    positional address oracle and with each other. *)
 let pack_roundtrip ~section ~n =
   let layout = Layout.create ~p:3 ~k:4 in
@@ -85,7 +85,7 @@ let pack_roundtrip ~section ~n =
       Tutil.check_bool "both strides appear in this fixture somewhere" true
         (List.for_all
            (fun (b : Pack.block) -> b.Pack.step = 1 || b.Pack.step = -1)
-           side.Pack.blocks);
+           (Array.to_list side.Pack.tile));
       (* pack into a buffer, unpack into a scratch store: the blocks
          must move exactly the values the addresses name. *)
       let extent = Layout.local_extent layout ~n ~proc:tr.Comm_sets.src_proc in
@@ -96,7 +96,7 @@ let pack_roundtrip ~section ~n =
       let buf_el = Lams_util.Fbuf.create side.Pack.elements in
       Pack.pack_elementwise side ~data ~buf:buf_el;
       let buf_f = Array.make side.Pack.elements 0. in
-      Pack.pack_floats side ~data:data_f ~buf:buf_f;
+      Pack_oracle.pack_floats side ~data:data_f ~buf:buf_f;
       Tutil.check_bool "blit pack = elementwise pack" true
         (Lams_util.Fbuf.equal buf buf_el);
       Tutil.check_bool "blit pack = float-array pack" true
@@ -104,7 +104,7 @@ let pack_roundtrip ~section ~n =
       let back = Lams_util.Fbuf.init extent (fun _ -> -1.) in
       Pack.unpack side ~buf ~data:back;
       let back_f = Array.make extent (-1.) in
-      Pack.unpack_floats side ~buf:buf_f ~data:back_f;
+      Pack_oracle.unpack_floats side ~buf:buf_f ~data:back_f;
       Array.iter
         (fun a ->
           Alcotest.(check (float 0.))
@@ -146,23 +146,64 @@ let sections_of (_, _, _, _, lo, count, stride, reversed) =
   in
   (src_section, dst_section, hi + 1)
 
-(* Two consecutive blocks the coalescer should have merged: adjacent
-   in buffer and local space under a common step, where a
-   single-element block fits either step. *)
-let mergeable (a : Pack.block) (b : Pack.block) =
+(* The step under which block [b] continues the run [a] in the
+   coalescer: adjacent in buffer and local space under a common step,
+   where a single-element block fits either step. *)
+let joint (a : Pack.block) (b : Pack.block) =
   let sigma =
     if a.Pack.length > 1 then a.Pack.step
     else if b.Pack.length > 1 then b.Pack.step
     else b.Pack.start_local - a.Pack.start_local
   in
-  b.Pack.buf_pos = a.Pack.buf_pos + a.Pack.length
-  && (sigma = 1 || sigma = -1)
-  && (b.Pack.length = 1 || b.Pack.step = sigma)
-  && b.Pack.start_local = a.Pack.start_local + (sigma * a.Pack.length)
+  if
+    b.Pack.buf_pos = a.Pack.buf_pos + a.Pack.length
+    && (sigma = 1 || sigma = -1)
+    && (b.Pack.length = 1 || b.Pack.step = sigma)
+    && b.Pack.start_local = a.Pack.start_local + (sigma * a.Pack.length)
+  then Some sigma
+  else None
+
+let mergeable a b = Option.is_some (joint a b)
 
 let rec maximal = function
   | a :: (b :: _ as rest) -> (not (mergeable a b)) && maximal rest
   | _ -> true
+
+(* The expanded side, read straight off its record: tile t's blocks
+   moved by t·width in the buffer and t·paving in local space, cut at
+   [elements]. *)
+let expand (side : Pack.side) =
+  let tiles =
+    if side.Pack.elements = 0 then 0
+    else ((side.Pack.elements - 1) / side.Pack.width) + 1
+  in
+  List.concat
+    (List.init tiles (fun t ->
+         List.filter_map
+           (fun (b : Pack.block) ->
+             let buf_pos = (t * side.Pack.width) + b.Pack.buf_pos in
+             if buf_pos >= side.Pack.elements then None
+             else
+               Some
+                 { b with
+                   Pack.buf_pos;
+                   start_local = b.Pack.start_local + (t * side.Pack.paving);
+                   length = min b.Pack.length (side.Pack.elements - buf_pos) })
+           (Array.to_list side.Pack.tile)))
+
+(* The coalescer's run count over a block sequence. *)
+let coalesced_count = function
+  | [] -> 0
+  | b0 :: rest ->
+      fst
+        (List.fold_left
+           (fun (n, (run : Pack.block)) b ->
+             match joint run b with
+             | Some sigma ->
+                 (n, { run with Pack.length = run.Pack.length + b.Pack.length;
+                                step = sigma })
+             | None -> (n + 1, b))
+           (1, b0) rest)
 
 (* gen_redistribution, with a quarter of the cases forced onto each of
    the p = 1, k = 1 and p_src <> p_dst corners. *)
@@ -206,7 +247,12 @@ let prop_lowering_equals_oracle =
         if Pack.block_count side > Pack.block_count oracle then
           fail "%d blocks, oracle %d" (Pack.block_count side)
             (Pack.block_count oracle);
-        if not (maximal side.Pack.blocks) then fail "blocks not maximal"
+        if not (maximal (Array.to_list side.Pack.tile)) then
+          fail "tile blocks not maximal";
+        let expanded = coalesced_count (expand side) in
+        if Pack.block_count side <> expanded then
+          fail "block_count %d, coalescer over the expanded blocks %d"
+            (Pack.block_count side) expanded
       in
       List.iter
         (fun (tr : Comm_sets.transfer) ->
@@ -218,12 +264,11 @@ let prop_lowering_equals_oracle =
       true)
 
 let test_check_side_rejects_overlap () =
-  let side =
-    { Pack.blocks =
-        [ { Pack.buf_pos = 0; start_local = 0; length = 3; step = 1 };
-          { Pack.buf_pos = 2; start_local = 7; length = 2; step = 1 } ];
-      elements = 4 }
+  let overlapping =
+    [| { Pack.buf_pos = 0; start_local = 0; length = 3; step = 1 };
+       { Pack.buf_pos = 2; start_local = 7; length = 2; step = 1 } |]
   in
+  let side = Pack.tiled overlapping ~width:4 ~paving:0 ~elements:4 in
   (match Pack.check_side side with
   | Error msg ->
       Alcotest.(check string)
@@ -242,7 +287,8 @@ let test_check_side_rejects_overlap () =
       let bad =
         { tr with
           Schedule.src_side =
-            { side with Pack.elements = tr.Schedule.elements } }
+            Pack.tiled overlapping ~width:4 ~paving:0
+              ~elements:tr.Schedule.elements }
       in
       Tutil.check_bool "validate rejects the malformed side" true
         (Result.is_error
@@ -279,6 +325,185 @@ let test_build_side_rejects_bad_input () =
         (Pack.build_side ~layout ~section ~proc:0
            [ { Comm_sets.first = 2; period = 4; count = 4 } ]
           : Pack.side))
+
+(* A hand-built side whose last full tile, or only its partial tile,
+   escapes the local store: pack and unpack check the side's extent
+   once and then run unchecked, so they must raise before writing
+   either buffer. *)
+let test_pack_rejects_escaping_side () =
+  let module Fbuf = Lams_util.Fbuf in
+  (* Tile cells land on locals 0, 1, 5 and tile t adds 6t: nine elements
+     reach local 17 in their last full tile, eight reach 13 in their
+     two-cell partial tile, and the descending side runs 2, 1, ..., -3. *)
+  let tile =
+    [| { Pack.buf_pos = 0; start_local = 0; length = 2; step = 1 };
+       { Pack.buf_pos = 2; start_local = 5; length = 1; step = 1 } |]
+  in
+  let full = Pack.tiled tile ~width:3 ~paving:6 ~elements:9
+  and partial = Pack.tiled tile ~width:3 ~paving:6 ~elements:8
+  and descending =
+    Pack.tiled
+      [| { Pack.buf_pos = 0; start_local = 2; length = 3; step = -1 } |]
+      ~width:3 ~paving:(-3) ~elements:6
+  in
+  let poisoned n = Fbuf.init n (fun i -> float_of_int (-1 - i)) in
+  let rejects name side ~store ~buf_len =
+    let data = poisoned store and buf = poisoned buf_len in
+    let data0 = Fbuf.copy data and buf0 = Fbuf.copy buf in
+    Alcotest.check_raises (name ^ ": pack") (Invalid_argument "Pack.pack")
+      (fun () -> Pack.pack side ~data ~buf);
+    Alcotest.check_raises (name ^ ": unpack")
+      (Invalid_argument "Pack.unpack") (fun () -> Pack.unpack side ~buf ~data);
+    Tutil.check_bool (name ^ ": nothing written") true
+      (Fbuf.equal data data0 && Fbuf.equal buf buf0)
+  in
+  rejects "last full tile" full ~store:17 ~buf_len:9;
+  rejects "partial tile" partial ~store:13 ~buf_len:8;
+  rejects "below local 0" descending ~store:8 ~buf_len:6;
+  rejects "short buffer" full ~store:18 ~buf_len:8;
+  (* One more cell of store and both fit: the kernel moves the map. *)
+  List.iter
+    (fun (side, store) ->
+      let data = Fbuf.init store float_of_int in
+      let buf = Fbuf.create side.Pack.elements in
+      Pack.pack side ~data ~buf;
+      Tutil.check_int_array "packed = element -> local map"
+        (Pack.local_addresses side)
+        (Array.map int_of_float (Fbuf.to_array buf)))
+    [ (full, 18); (partial, 14) ]
+
+(* Every transfer side of a redistribution case, built. *)
+let sides_of_case ((sp, sk, dp, dk, _, _, _, _) as case) =
+  let src_section, dst_section, _ = sections_of case in
+  let src_layout = Layout.create ~p:sp ~k:sk
+  and dst_layout = Layout.create ~p:dp ~k:dk in
+  let cs = Comm_sets.build ~src_layout ~src_section ~dst_layout ~dst_section in
+  List.concat_map
+    (fun (tr : Comm_sets.transfer) ->
+      [ Pack.build_side ~layout:src_layout ~section:src_section
+          ~proc:tr.Comm_sets.src_proc tr.Comm_sets.runs;
+        Pack.build_side ~layout:dst_layout ~section:dst_section
+          ~proc:tr.Comm_sets.dst_proc tr.Comm_sets.runs ])
+    cs.Comm_sets.transfers
+
+let prop_tile_stable_under_growth =
+  Tutil.qtest "tile unchanged when the section grows by whole periods"
+    QCheck2.Gen.(pair gen_lowering (int_range 1 2))
+    ~print:(fun (case, m) ->
+      Printf.sprintf "%s grow=%d" (print_redistribution case) m)
+    (fun ((sp, sk, dp, dk, lo, count, stride, rev), m) ->
+      let src_layout = Layout.create ~p:sp ~k:sk
+      and dst_layout = Layout.create ~p:dp ~k:dk in
+      (* Ascending from [lo]; a descending side starts at [top], fixed
+         for both sizes, so growing moves no side's first element. *)
+      let comm_sets n ~top =
+        let src_section =
+          Section.make ~lo ~hi:(lo + ((n - 1) * stride)) ~stride
+        in
+        let dst_section =
+          if rev then
+            Section.make ~lo:top ~hi:(top - ((n - 1) * stride))
+              ~stride:(-stride)
+          else src_section
+        in
+        ( src_section,
+          dst_section,
+          Comm_sets.build ~src_layout ~src_section ~dst_layout ~dst_section )
+      in
+      let sides n ~top =
+        let src_section, dst_section, cs = comm_sets n ~top in
+        List.map
+          (fun (tr : Comm_sets.transfer) ->
+            ( (tr.Comm_sets.src_proc, tr.Comm_sets.dst_proc),
+              Pack.build_side ~layout:src_layout ~section:src_section
+                ~proc:tr.Comm_sets.src_proc tr.Comm_sets.runs,
+              Pack.build_side ~layout:dst_layout ~section:dst_section
+                ~proc:tr.Comm_sets.dst_proc tr.Comm_sets.runs ))
+          cs.Comm_sets.transfers
+      in
+      (* From one whole joint period on every residue is present, so the
+         classes, and with them the tiles, stop changing. *)
+      let period =
+        let _, _, cs = comm_sets count ~top:(lo + ((count - 1) * stride)) in
+        (List.hd (List.hd cs.Comm_sets.transfers).Comm_sets.runs)
+          .Comm_sets.period
+      in
+      let n1 = count + period and n2 = count + ((m + 1) * period) in
+      let top = lo + ((n2 - 1) * stride) in
+      (* A collapsed side is one block of its own length, which grows
+         with the section; its start and step must not move. *)
+      let same (a : Pack.side) (b : Pack.side) =
+        (a.Pack.tile, a.Pack.width, a.Pack.paving)
+        = (b.Pack.tile, b.Pack.width, b.Pack.paving)
+        ||
+        match (a.Pack.tile, b.Pack.tile) with
+        | [| x |], [| y |] ->
+            a.Pack.width = a.Pack.elements
+            && b.Pack.width = b.Pack.elements
+            && x.Pack.start_local = y.Pack.start_local
+            && x.Pack.step = y.Pack.step
+        | _ -> false
+      in
+      let small = sides n1 ~top and large = sides n2 ~top in
+      List.length small = List.length large
+      && List.for_all2
+           (fun (pair, s1, d1) (pair', s2, d2) ->
+             pair = pair' && same s1 s2 && same d1 d2)
+           small large)
+
+let prop_split_shift_commute =
+  Tutil.qtest "split keeps the map at any cut and commutes with shift"
+    QCheck2.Gen.(triple gen_lowering (int_range 0 10_000) (int_range (-64) 64))
+    ~print:(fun (case, cut, delta) ->
+      Printf.sprintf "%s cut=%d delta=%d" (print_redistribution case) cut
+        delta)
+    (fun (case, cut, delta) ->
+      List.for_all
+        (fun (side : Pack.side) ->
+          side.Pack.elements < 2
+          ||
+          let at = 1 + (cut mod (side.Pack.elements - 1)) in
+          let left, right = Pack.split side ~at in
+          let left', right' = Pack.split (Pack.shift side delta) ~at in
+          let whole (s : Pack.side) =
+            Pack.check_side s = Ok ()
+            && Pack.block_count s = coalesced_count (expand s)
+          in
+          Array.append (Pack.local_addresses left) (Pack.local_addresses right)
+          = Pack.local_addresses side
+          && whole left && whole right
+          && left' = Pack.shift left delta
+          && right' = Pack.shift right delta)
+        (sides_of_case case))
+
+let prop_identity_collapses =
+  Tutil.qtest "an identity remap is one block per side"
+    QCheck2.Gen.(
+      quad (int_range 1 8) (int_range 1 12) (pair (int_range 0 40) bool)
+        (int_range 1 300))
+    ~print:(fun (p, k, (lo, rev), count) ->
+      Printf.sprintf "p=%d k=%d lo=%d rev=%b count=%d" p k lo rev count)
+    (fun (p, k, (lo, rev), count) ->
+      let layout = Layout.create ~p ~k in
+      let hi = lo + count - 1 in
+      let sec =
+        if rev then Section.make ~lo:hi ~hi:lo ~stride:(-1)
+        else Section.make ~lo ~hi ~stride:1
+      in
+      let sched =
+        Schedule.build ~src_layout:layout ~src_section:sec ~dst_layout:layout
+          ~dst_section:sec
+      in
+      sched.Schedule.rounds = []
+      && List.for_all
+           (fun (tr : Schedule.transfer) ->
+             List.for_all
+               (fun (side : Pack.side) ->
+                 Array.length side.Pack.tile = 1
+                 && side.Pack.width = side.Pack.elements
+                 && Pack.block_count side = 1)
+               [ tr.Schedule.src_side; tr.Schedule.dst_side ])
+           sched.Schedule.locals)
 
 let prop_executor_equals_legacy =
   Tutil.qtest "scheduled redistribution = legacy copy" gen_redistribution
@@ -498,4 +723,9 @@ let suite =
       test_check_side_rejects_overlap;
     Alcotest.test_case "build_side rejects mixed periods, bad positions"
       `Quick
-      test_build_side_rejects_bad_input ]
+      test_build_side_rejects_bad_input;
+    Alcotest.test_case "pack/unpack reject a side escaping the store" `Quick
+      test_pack_rejects_escaping_side;
+    prop_tile_stable_under_growth;
+    prop_split_shift_commute;
+    prop_identity_collapses ]
